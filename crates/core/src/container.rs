@@ -171,13 +171,20 @@ pub fn mux(video: &EncodedVideo) -> Vec<u8> {
     out
 }
 
+/// Upper bound on a frame record's bytes beyond its two payloads: the
+/// tag byte plus at most six varints of at most ten bytes each.
+const MAX_RECORD_OVERHEAD: usize = 1 + 6 * 10;
+
 /// Appends one frame record (tag, payloads, metadata) to `out`.
 ///
 /// This is exactly the per-frame byte layout of [`mux`]; a container is
 /// the header followed by `mux_frame` records back to back. Transports
 /// that deliver frames individually (chunked streaming) use this
-/// directly.
+/// directly. Room for the whole record is reserved up front, so a record
+/// muxed into an empty `Vec` is one allocation with at most a few dozen
+/// bytes of spare capacity — the buffer can be retained as is.
 pub fn mux_frame(out: &mut Vec<u8>, frame: &EncodedFrame) {
+    out.reserve(frame.size().total_bytes() + MAX_RECORD_OVERHEAD);
     match frame {
         EncodedFrame::Tmc13(f) => {
             out.push(0x01);
@@ -252,6 +259,7 @@ fn demux_frame_at(
     let tag_offset = cursor.offset;
     let tag = cursor.take_byte()?;
     let (geometry, attribute) = read_payloads(cursor, limits)?;
+    let (geometry, attribute) = (geometry.to_vec(), attribute.to_vec());
     let unique_voxels = cursor.read_varint()? as usize;
     limits.check_points(unique_voxels as u64)?;
     let raw_points = cursor.read_varint()? as usize;
@@ -292,6 +300,22 @@ fn demux_frame_at(
         }
         other => return Err(ContainerError::BadTag { tag: other, offset: tag_offset }),
     })
+}
+
+/// The geometry and attribute payloads of an intra-coded frame record
+/// (an [`EncodedFrame::Intra`] muxed by [`mux_frame`]), borrowed from
+/// the record without copying. `None` for any other frame kind and for
+/// malformed records.
+///
+/// Holders of a muxed record use this to reach the coded payloads — for
+/// example to slice one brick out of a retained brick-partitioned
+/// I-frame — without knowing the record layout.
+pub fn intra_payloads(record: &[u8]) -> Option<(&[u8], &[u8])> {
+    let mut cursor = Cursor::new(record, 0);
+    if cursor.take_byte().ok()? != 0x04 {
+        return None;
+    }
+    read_payloads(&mut cursor, &Limits::default()).ok()
 }
 
 /// Parses a container produced by [`mux`].
@@ -369,17 +393,17 @@ fn write_payloads(out: &mut Vec<u8>, geometry: &[u8], attribute: &[u8]) {
     out.extend_from_slice(attribute);
 }
 
-fn read_payloads(
-    cursor: &mut Cursor<'_>,
+fn read_payloads<'a>(
+    cursor: &mut Cursor<'a>,
     limits: &Limits,
-) -> Result<(Vec<u8>, Vec<u8>), ContainerError> {
+) -> Result<(&'a [u8], &'a [u8]), ContainerError> {
     let g_len = cursor.read_varint()? as usize;
     limits.check_alloc(g_len as u64)?;
     let g = cursor.take(g_len)?;
     let a_len = cursor.read_varint()? as usize;
     limits.check_alloc(a_len as u64)?;
     let a = cursor.take(a_len)?;
-    Ok((g.to_vec(), a.to_vec()))
+    Ok((g, a))
 }
 
 #[cfg(test)]
@@ -436,6 +460,24 @@ mod tests {
             assert_eq!(parsed.kind(), frame.kind(), "frame {i}");
         }
         assert!(input.is_empty());
+    }
+
+    #[test]
+    fn intra_payloads_borrow_exactly_the_intra_frames_blobs() {
+        let original = encode(Design::IntraInterV1);
+        for frame in &original.frames {
+            let mut record = Vec::new();
+            mux_frame(&mut record, frame);
+            assert!(record.capacity() - record.len() <= MAX_RECORD_OVERHEAD, "no regrowth slack");
+            match frame {
+                EncodedFrame::Intra(f) => {
+                    let (g, a) = intra_payloads(&record).expect("intra record");
+                    assert_eq!((g, a), (f.geometry.as_slice(), f.attribute.as_slice()));
+                    assert_eq!(intra_payloads(&record[..record.len() / 2]), None);
+                }
+                _ => assert_eq!(intra_payloads(&record), None),
+            }
+        }
     }
 
     #[test]

@@ -7,8 +7,8 @@ use pcc_adapt::{Clock, Controller, FrameObservation, SystemClock};
 use pcc_core::PccCodec;
 use pcc_edge::Device;
 use pcc_stream::{
-    FramePayload, FrameSource, RecoveryRequest, SharedRepairRing, SharedRing, SharedStats,
-    StreamConfig, StreamStats, Subscription,
+    FramePayload, FrameSource, SharedRepairRing, SharedRing, SharedStats, StreamConfig,
+    StreamStats, Subscription,
 };
 use pcc_types::{Aabb, FrameKind, GofPattern, PointCloud};
 use std::io::{self, Write};
@@ -231,25 +231,8 @@ impl<'d> Broadcast<'d> {
         config: SubscriberConfig,
     ) -> io::Result<SubscriberId> {
         let late = self.source.frame_index() > 0;
-        let join_at = if late {
-            self.cache.join_index().unwrap_or(self.source.frame_index() as u32)
-        } else {
-            0
-        };
-        let header = self.source.header_at(join_at);
-        let boxed: Box<dyn Write + Send> = Box::new(transport);
-        let mut sub = Subscription::attach(boxed, &header)?;
-        let arq_ring = config.arq_ring;
-        if let Some(ring) = arq_ring.clone() {
-            sub = sub.with_arq(ring);
-        }
+        let sub = self.attach_at_join_point(Box::new(transport), config.arq_ring.clone())?;
         if late {
-            let replay_sp = pcc_probe::span("serve/replay");
-            for frame in self.cache.frames() {
-                sub.send_payload(frame)?;
-                self.stats.replayed_frames += 1;
-            }
-            self.stats.aggregate.add_stage_ns("serve/replay", replay_sp.stop());
             self.stats.late_joins += 1;
             pcc_probe::add_count("serve/late_joins", 1);
         }
@@ -262,7 +245,7 @@ impl<'d> Broadcast<'d> {
             feedback: config.feedback,
             clock: config.clock.unwrap_or_else(|| Arc::new(SystemClock::default())),
             suppressed: 0,
-            arq_ring,
+            arq_ring: config.arq_ring,
             misses: 0,
             health: SlotHealth::Live,
         });
@@ -289,9 +272,6 @@ impl<'d> Broadcast<'d> {
         id: SubscriberId,
         transport: W,
     ) -> io::Result<bool> {
-        let frame_index = self.source.frame_index() as u32;
-        let join_at = self.cache.join_index().unwrap_or(frame_index);
-        let header = self.source.header_at(join_at);
         let Some(at) = self
             .slots
             .iter()
@@ -299,18 +279,8 @@ impl<'d> Broadcast<'d> {
         else {
             return Ok(false);
         };
-        let boxed: Box<dyn Write + Send> = Box::new(transport);
-        let mut sub = Subscription::attach(boxed, &header)?;
-        if let Some(ring) = self.slots.get(at).and_then(|s| s.arq_ring.clone()) {
-            sub = sub.with_arq(ring);
-        }
-        let replay_sp = pcc_probe::span("serve/replay");
-        let mut replayed = 0usize;
-        for frame in self.cache.frames() {
-            sub.send_payload(frame)?;
-            replayed += 1;
-        }
-        self.stats.aggregate.add_stage_ns("serve/replay", replay_sp.stop());
+        let arq_ring = self.slots.get(at).and_then(|s| s.arq_ring.clone());
+        let sub = self.attach_at_join_point(Box::new(transport), arq_ring)?;
         let Some(slot) = self.slots.get_mut(at) else {
             return Ok(false);
         };
@@ -324,10 +294,37 @@ impl<'d> Broadcast<'d> {
         slot.sub.carry_over(&checkpoint);
         slot.health = SlotHealth::Live;
         slot.misses = 0;
-        self.stats.replayed_frames += replayed;
         self.stats.resubscribes += 1;
         pcc_probe::add_count("serve/resubscribes", 1);
         Ok(true)
+    }
+
+    /// Opens a subscription on `transport`: a stream header announcing
+    /// the join point, the ARQ ring (if any) parked from the header on,
+    /// and — once the session is past its first frame — the resync
+    /// cache's GOF replayed so the subscriber is bit-exact from the
+    /// cached I-frame. Shared by [`subscribe`](Self::subscribe) and
+    /// [`resubscribe`](Self::resubscribe).
+    fn attach_at_join_point(
+        &mut self,
+        transport: Box<dyn Write + Send>,
+        arq_ring: Option<SharedRing>,
+    ) -> io::Result<Subscription<Box<dyn Write + Send>>> {
+        let frame_index = self.source.frame_index() as u32;
+        let join_at = self.cache.join_index().unwrap_or(frame_index);
+        let mut sub = Subscription::attach(transport, &self.source.header_at(join_at))?;
+        if let Some(ring) = arq_ring {
+            sub = sub.with_arq(ring);
+        }
+        if frame_index > 0 {
+            let replay_sp = pcc_probe::span("serve/replay");
+            for frame in self.cache.frames() {
+                sub.send_payload(frame)?;
+                self.stats.replayed_frames += 1;
+            }
+            self.stats.aggregate.add_stage_ns("serve/replay", replay_sp.stop());
+        }
+        Ok(sub)
     }
 
     /// Detaches a subscriber without an end chunk (its receiver sees a
@@ -351,10 +348,7 @@ impl<'d> Broadcast<'d> {
     /// the way. Transport failures drop the failing subscriber and
     /// never propagate; the session itself cannot error here.
     pub fn push_frame(&mut self, cloud: &PointCloud) -> FrameKind {
-        self.drain_recovery_asks();
-        let encode_sp = pcc_probe::span("serve/encode");
-        let frame = self.source.encode_next(cloud);
-        self.stats.aggregate.add_stage_ns("serve/encode", encode_sp.stop());
+        let frame = self.encode_with(|source| source.encode_next(cloud));
         self.fan_out(&frame);
         frame.kind
     }
@@ -373,11 +367,8 @@ impl<'d> Broadcast<'d> {
         cloud: &PointCloud,
         fault: impl FnOnce(),
     ) -> Option<FrameKind> {
-        self.drain_recovery_asks();
-        let encode_sp = pcc_probe::span("serve/encode");
-        let frame = self.source.encode_next_contained(cloud, fault);
-        self.stats.aggregate.add_stage_ns("serve/encode", encode_sp.stop());
-        let Some(frame) = frame else {
+        let Some(frame) = self.encode_with(|source| source.encode_next_contained(cloud, fault))
+        else {
             self.stats.aggregate.panics_contained += 1;
             pcc_probe::add_count("serve/panics_contained", 1);
             return None;
@@ -386,23 +377,21 @@ impl<'d> Broadcast<'d> {
         Some(frame.kind)
     }
 
-    /// Drains receiver-driven recovery asks first so a refresh lands in
-    /// *this* frame's encode. One shared encode serves every subscriber,
-    /// so any single broken receiver re-anchors all of them (the intact
-    /// ones just see an early I-frame).
-    fn drain_recovery_asks(&mut self) {
-        for slot in &mut self.slots {
-            if slot.health != SlotHealth::Live {
-                continue;
-            }
-            if let Some(fb) = &slot.feedback {
-                for request in fb.take_recovery() {
-                    if matches!(request, RecoveryRequest::IntraRefresh { .. }) {
-                        self.source.request_refresh();
-                    }
-                }
+    /// The encode half shared by both push paths. Receiver-driven
+    /// recovery asks are drained first so a refresh lands in *this*
+    /// frame's encode. One shared encode serves every subscriber, so any
+    /// single broken receiver re-anchors all of them (the intact ones
+    /// just see an early I-frame).
+    fn encode_with<T>(&mut self, encode: impl FnOnce(&mut FrameSource<'d>) -> T) -> T {
+        for slot in &self.slots {
+            if let (SlotHealth::Live, Some(fb)) = (slot.health, &slot.feedback) {
+                self.source.drain_refresh_asks(fb);
             }
         }
+        let encode_sp = pcc_probe::span("serve/encode");
+        let out = encode(&mut self.source);
+        self.stats.aggregate.add_stage_ns("serve/encode", encode_sp.stop());
+        out
     }
 
     /// Books one encoded frame and stamps it onto every live

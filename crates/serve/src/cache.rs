@@ -6,7 +6,11 @@
 //! encoded after it; a late joiner's stream opens with
 //! `[header, cached I, cached P...]` and is bit-exact with the live
 //! fan-out from its join point onward. Memory is bounded by one GOF:
-//! each new I-frame replaces the whole cache.
+//! each new I-frame replaces the whole cache. The cache holds references
+//! to the source's shared frame records (cloning a [`FramePayload`]
+//! clones a reference), so it costs no payload bytes of its own: the
+//! subscribers' ARQ rings and the brick repair ring point at the same
+//! records.
 
 use pcc_stream::FramePayload;
 use pcc_types::FrameKind;
@@ -86,11 +90,16 @@ mod tests {
         assert!(cache.is_empty());
         assert_eq!(cache.join_index(), None);
 
-        cache.observe(&payload(0, FrameKind::Intra));
+        let anchor = payload(0, FrameKind::Intra);
+        cache.observe(&anchor);
         cache.observe(&payload(1, FrameKind::Predicted));
         cache.observe(&payload(2, FrameKind::Predicted));
         assert_eq!(cache.join_index(), Some(0));
         assert_eq!(cache.len(), 3);
+        assert!(
+            std::sync::Arc::ptr_eq(&cache.frames()[0].payload, &anchor.payload),
+            "the cache must hold the record by reference, not a copy"
+        );
 
         // The next GOF evicts the previous one wholesale.
         cache.observe(&payload(4, FrameKind::Intra));

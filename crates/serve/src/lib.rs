@@ -13,7 +13,10 @@
 //!   around the shared payload bytes.
 //! * [`ResyncCache`] — the current GOF's payloads; late joiners replay
 //!   `[header, cached I, cached P...]` and are bit-exact immediately
-//!   instead of waiting for the next I-frame.
+//!   instead of waiting for the next I-frame. Like every ARQ ring and
+//!   the brick repair ring, the cache holds references to the source's
+//!   refcounted frame records, never copies, so retained bytes stay
+//!   flat in subscriber count.
 //! * [`shed_refinement`] — transmit-side degradation: strip the coded
 //!   refinement attribute layer from an I-frame record for subscribers
 //!   that can't keep up, without touching the shared encoder. Driven

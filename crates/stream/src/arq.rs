@@ -3,30 +3,38 @@
 //! The base session layer is purely feed-forward: a lost chunk is a lost
 //! frame, and a lost I-frame costs its whole group. When the deployment
 //! has *some* back channel — even a simulated one — a sender can park
-//! recently sent chunks in a bounded [`RetransmitRing`] and a receiver
-//! can NACK sequence gaps against it ([`Receiver::with_arq`]):
+//! recently sent chunks in a bounded [`SharedRing`] and a receiver can
+//! NACK sequence gaps against it ([`Receiver::with_arq`]):
 //!
 //! ```text
 //!   sender ──chunks──▶ lossy transport ──▶ receiver
 //!     │                                       │ seq gap detected
-//!     └──── RetransmitRing ◀───── NACK(seq) ──┘
+//!     └────── SharedRing ◀─────── NACK(seq) ──┘
 //!                │
-//!                └──── retransmitted chunk ──▶ pending queue
+//!                └──── re-stamped chunk ──▶ pending queue
 //! ```
 //!
+//! The ring retains frames by reference: each entry is the chunk's
+//! sequence number plus the shared, refcounted frame record
+//! ([`FramePayload`]) it carried, and the 26-byte chunk header is
+//! re-stamped around that record (with its stored CRC) only when a NACK
+//! asks for it. Retained bytes are therefore flat in subscriber count: N
+//! subscribers' rings point at the same N-times-shared records.
+//!
 //! Recovery is bounded on every axis so a hostile or dead link can never
-//! wedge the session: the ring holds the last `ring_chunks` encoded
-//! chunks (older gaps are immediately *degraded*), each missing sequence
-//! number gets at most `retry_budget` NACKs with exponential backoff
-//! between attempts, and a per-gap `deadline` cuts retries off entirely.
+//! wedge the session: the ring holds the last `ring_chunks` sent chunks
+//! (older gaps are immediately *degraded*), each missing sequence number
+//! gets at most `retry_budget` NACKs with exponential backoff between
+//! attempts, and a per-gap `deadline` cuts retries off entirely.
 //! Whatever stays missing falls back to the base skip-and-resync
 //! behavior and is counted in
 //! [`StreamStats::arq_degraded`](crate::StreamStats::arq_degraded).
 //!
 //! [`Receiver::with_arq`]: crate::Receiver::with_arq
 
-use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
+use crate::chunk::{encode_chunk_parts, ChunkKind};
+use crate::source::FramePayload;
+use crate::window::Window;
 use std::time::Duration;
 
 /// A source the receiver can pull lost chunks back out of.
@@ -40,98 +48,67 @@ pub trait Retransmit {
     fn retransmit(&mut self, seq: u32) -> Option<Vec<u8>>;
 }
 
-/// Bounded ring of the most recently sent encoded chunks.
-///
-/// Capacity is in chunks; inserting past it evicts the oldest entry, so
-/// memory stays proportional to the configured window no matter how long
-/// the session runs.
+/// One parked chunk, enough to reproduce its exact wire image.
 #[derive(Debug)]
-pub struct RetransmitRing {
-    capacity: usize,
-    entries: VecDeque<(u32, Vec<u8>)>,
+enum Parked {
+    /// A stream-header or end chunk: a few dozen bytes, kept as sent.
+    Control(Vec<u8>),
+    /// A frame chunk: the shared record, re-stamped on demand.
+    Frame { stream_id: u32, frame: FramePayload },
 }
 
-impl RetransmitRing {
-    /// Creates a ring holding at most `capacity` chunks (minimum 1).
-    pub fn new(capacity: usize) -> Self {
-        RetransmitRing { capacity: capacity.max(1), entries: VecDeque::new() }
-    }
-
-    /// Parks the encoded bytes of chunk `seq`, evicting the oldest entry
-    /// when full.
-    pub fn insert(&mut self, seq: u32, bytes: Vec<u8>) {
-        if self.entries.len() == self.capacity {
-            self.entries.pop_front();
-        }
-        self.entries.push_back((seq, bytes));
-    }
-
-    /// The encoded bytes of chunk `seq`, if still held.
-    pub fn get(&self, seq: u32) -> Option<&[u8]> {
-        self.entries
-            .iter()
-            .rev()
-            .find(|(s, _)| *s == seq)
-            .map(|(_, b)| b.as_slice())
-    }
-
-    /// Maximum chunks the ring holds.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Chunks currently held.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the ring holds no chunks.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
-
-impl Retransmit for RetransmitRing {
-    fn retransmit(&mut self, seq: u32) -> Option<Vec<u8>> {
-        self.get(seq).map(<[u8]>::to_vec)
-    }
-}
-
-/// A cloneable, thread-safe [`RetransmitRing`] handle.
+/// A cloneable, thread-safe ring of the most recently sent chunks.
 ///
-/// The sender half inserts every chunk as it hits the wire
-/// ([`Sender::with_arq`](crate::Sender::with_arq)); a clone handed to
-/// the receiver serves its NACKs. Sessions whose halves run on separate
-/// threads (the loopback examples) share one ring this way.
+/// The sender half parks every chunk as it hits the wire
+/// ([`Sender::with_arq`](crate::Sender::with_arq),
+/// [`Subscription::with_arq`](crate::Subscription::with_arq)); a clone
+/// handed to the receiver serves its NACKs. Capacity is in chunks;
+/// parking past it evicts the oldest entry, so memory stays proportional
+/// to the configured window no matter how long the session runs. Frame
+/// chunks are held by reference to their shared record (see the module
+/// docs).
 #[derive(Debug, Clone)]
-pub struct SharedRing(Arc<Mutex<RetransmitRing>>);
+pub struct SharedRing(Window<(u32, Parked)>);
 
 impl SharedRing {
-    /// Creates a shared ring holding at most `capacity` chunks.
+    /// Creates a shared ring holding at most `capacity` chunks
+    /// (minimum 1).
     pub fn new(capacity: usize) -> Self {
-        SharedRing(Arc::new(Mutex::new(RetransmitRing::new(capacity))))
+        SharedRing(Window::new(capacity))
     }
 
-    /// Parks the encoded bytes of chunk `seq`.
-    pub fn insert(&self, seq: u32, bytes: Vec<u8>) {
-        self.lock().insert(seq, bytes);
+    /// Parks a control chunk (stream header or end) by its wire image.
+    pub(crate) fn park_control(&self, seq: u32, bytes: Vec<u8>) {
+        self.0.push((seq, Parked::Control(bytes)));
+    }
+
+    /// Parks frame chunk `seq` by reference to its shared record.
+    pub(crate) fn park_frame(&self, stream_id: u32, seq: u32, frame: &FramePayload) {
+        self.0.push((seq, Parked::Frame { stream_id, frame: frame.clone() }));
     }
 
     /// Maximum chunks the ring holds.
     pub fn capacity(&self) -> usize {
-        self.lock().capacity()
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, RetransmitRing> {
-        // A poisoned ring only means another thread panicked mid-insert;
-        // the entries themselves are plain bytes, still safe to serve.
-        self.0.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+        self.0.capacity()
     }
 }
 
 impl Retransmit for SharedRing {
     fn retransmit(&mut self, seq: u32) -> Option<Vec<u8>> {
-        self.lock().retransmit(seq)
+        self.0.find_map(|(s, parked)| {
+            (*s == seq).then(|| match parked {
+                Parked::Control(bytes) => bytes.clone(),
+                Parked::Frame { stream_id, frame } => encode_chunk_parts(
+                    ChunkKind::Frame,
+                    Some(frame.kind),
+                    *stream_id,
+                    seq,
+                    frame.frame_index,
+                    &frame.payload,
+                    frame.payload_crc,
+                ),
+            })
+        })
     }
 }
 
@@ -185,28 +162,36 @@ mod tests {
     use super::*;
 
     #[test]
-    fn ring_evicts_oldest_and_serves_newest() {
-        let mut ring = RetransmitRing::new(3);
-        assert!(ring.is_empty());
-        for seq in 0..5u32 {
-            ring.insert(seq, vec![seq as u8]);
+    fn ring_restamps_parked_frames_and_evicts_oldest() {
+        let mut ring = SharedRing::new(3);
+        let reader = ring.clone();
+        let header = vec![9u8; 4];
+        reader.park_control(0, header.clone());
+        let frames: Vec<FramePayload> = (1..5u32)
+            .map(|i| FramePayload::from_bytes(i, pcc_types::FrameKind::Predicted, vec![i as u8; 8]))
+            .collect();
+        for (seq, frame) in (1..5u32).zip(&frames) {
+            reader.park_frame(7, seq, frame);
         }
-        assert_eq!(ring.len(), 3);
+        assert_eq!(ring.capacity(), 3);
         assert_eq!(ring.retransmit(0), None, "oldest must age out");
         assert_eq!(ring.retransmit(1), None);
-        for seq in 2..5u32 {
-            assert_eq!(ring.retransmit(seq), Some(vec![seq as u8]));
+        for (seq, frame) in (2..5u32).zip(&frames[1..]) {
+            let want = encode_chunk_parts(
+                ChunkKind::Frame,
+                Some(frame.kind),
+                7,
+                seq,
+                frame.frame_index,
+                &frame.payload,
+                frame.payload_crc,
+            );
+            assert_eq!(ring.retransmit(seq), Some(want));
         }
-    }
-
-    #[test]
-    fn shared_ring_clones_see_each_others_inserts() {
-        let ring = SharedRing::new(8);
-        let mut reader = ring.clone();
-        ring.insert(7, vec![1, 2, 3]);
-        assert_eq!(reader.retransmit(7), Some(vec![1, 2, 3]));
-        assert_eq!(reader.retransmit(8), None);
-        assert_eq!(ring.capacity(), 8);
+        let mut control = SharedRing::new(2);
+        control.park_control(0, header.clone());
+        assert_eq!(control.retransmit(0), Some(header));
+        assert_eq!(control.retransmit(1), None);
     }
 
     #[test]

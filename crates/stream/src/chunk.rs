@@ -154,8 +154,8 @@ pub fn encode_chunk_parts(
 ///
 /// Returns `None` when the bytes are not a single intact chunk (bad sync
 /// marker, failed header or payload CRC, wrong length). Retransmission
-/// paths use this to validate a chunk pulled back out of a
-/// [`RetransmitRing`](crate::arq::RetransmitRing) before trusting it.
+/// paths use this to validate a chunk re-stamped by a
+/// [`SharedRing`](crate::arq::SharedRing) before trusting it.
 pub fn decode_chunk(bytes: &[u8]) -> Option<Chunk> {
     let header = bytes.get(..HEADER_LEN)?;
     let (kind, frame_kind, stream_id, seq, frame_index, payload_len) = parse_header(header)?;
@@ -219,19 +219,9 @@ impl<W: Write> ChunkWriter<W> {
         ChunkWriter { inner, bytes_written: 0, chunks_written: 0 }
     }
 
-    /// Writes one chunk.
-    ///
-    /// # Errors
-    ///
-    /// Propagates transport errors.
-    pub fn write_chunk(&mut self, chunk: &Chunk) -> io::Result<()> {
-        let bytes = encode_chunk(chunk);
-        self.write_encoded(&bytes)
-    }
-
-    /// Writes one already-encoded chunk (the byte image of
-    /// [`encode_chunk`]) without re-encoding it. Senders that also park
-    /// the encoded bytes in a retransmit ring use this to serialize once.
+    /// Writes one encoded chunk (the byte image of [`encode_chunk`] or
+    /// [`encode_chunk_parts`]) in a single `write_all`, so transports
+    /// that treat one write as one record see whole chunks.
     ///
     /// # Errors
     ///
@@ -661,7 +651,7 @@ mod tests {
         let chunks = sample_chunks();
         let mut w = ChunkWriter::new(Vec::new());
         for c in &chunks {
-            w.write_chunk(c).unwrap();
+            w.write_encoded(&encode_chunk(c)).unwrap();
         }
         assert_eq!(w.chunks_written(), chunks.len() as u64);
         assert_eq!(w.bytes_written(), wire(&chunks).len() as u64);

@@ -33,9 +33,19 @@
 //!   [`RecoveryRequest`]s (intra-refresh asks, per-brick repair NACKs)
 //!   ride the feedback channel back to the sender, which re-anchors
 //!   with an out-of-schedule I-frame or retransmits individual brick
-//!   payloads from a bounded [`RepairRing`].
+//!   payloads from a bounded [`SharedRepairRing`].
+//! * [`arq`] — bounded retransmission: a [`SharedRing`] of recently sent
+//!   chunks answers a receiver's sequence-gap NACKs.
 //! * [`StreamStats`] — delivery accounting: frames sent / delivered /
 //!   dropped, resyncs, wire bytes, corruption events.
+//!
+//! Every coded frame is muxed once into a refcounted, immutable record
+//! ([`FramePayload`]). The places that retain recent frames — each ARQ
+//! subscriber's [`SharedRing`], the [`SharedRepairRing`] and a
+//! broadcast's resync cache — hold references to that one record, never
+//! copies, so retained bytes stay flat as subscribers are added. The ARQ
+//! ring re-stamps a chunk header around the record only when a NACK
+//! arrives.
 //!
 //! Everything is `std`-only — the loopback TCP example
 //! (`examples/live_stream.rs`) runs in an offline sandbox.
@@ -82,9 +92,10 @@ pub mod session;
 pub mod source;
 pub mod stats;
 pub mod supervise;
+mod window;
 
-pub use arq::{ArqConfig, Retransmit, RetransmitRing, SharedRing};
-pub use recovery::{RecoveryRequest, RepairRing, RepairSource, SharedRepairRing};
+pub use arq::{ArqConfig, Retransmit, SharedRing};
+pub use recovery::{RecoveryRequest, RepairSource, SharedRepairRing};
 pub use chunk::{
     decode_chunk, encode_chunk, encode_chunk_parts, Chunk, ChunkKind, ChunkReader, ChunkWriter,
 };

@@ -18,13 +18,16 @@
 //!   [`RepairSource`] answers with the original `geometry ++ attribute`
 //!   payload of just that brick, re-verified against the frame's own
 //!   index CRC before it is spliced back in. The sender side keeps a
-//!   bounded per-GOF [`RepairRing`] of parked brick I-frames to answer
-//!   from, reusing the per-entry byte accounting of the brick index.
+//!   bounded per-GOF [`SharedRepairRing`] of recent brick I-frames to
+//!   answer from. It parks each frame's shared wire record by reference
+//!   (the same refcounted bytes the subscribers' ARQ rings and the
+//!   broadcast's resync cache hold) plus its parsed brick index, and
+//!   slices a brick's bytes out of the record only when a NACK asks.
 
-use pcc_core::{BrickIndex, EncodedFrame};
+use crate::source::FramePayload;
+use crate::window::Window;
+use pcc_core::{container, BrickIndex};
 use pcc_types::Limits;
-use std::collections::VecDeque;
-use std::sync::{Arc, Mutex, MutexGuard};
 
 /// A repair verb a receiver publishes toward its sender.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,219 +67,90 @@ pub trait RepairSource {
     fn repair(&mut self, request: &RecoveryRequest) -> Option<Vec<u8>>;
 }
 
-/// One parked brick I-frame: the payload blobs plus the parsed index
-/// that maps cells to byte ranges.
+/// One parked brick I-frame: the shared wire record plus the parsed
+/// index that maps cells to byte ranges within its payloads.
 #[derive(Debug)]
 struct ParkedFrame {
-    frame_index: u32,
-    geometry: Vec<u8>,
-    attribute: Vec<u8>,
+    frame: FramePayload,
     index: BrickIndex,
 }
 
-/// A bounded ring of recent brick-partitioned I-frames the sender can
-/// answer [`RecoveryRequest::BrickRepair`] NACKs from.
-///
-/// Capacity is counted in frames; one or two is enough for the per-GOF
-/// repair window (P-frames reference only their group's I-frame, so a
-/// brick NACK always targets the current or previous anchor). Parking a
-/// frame parses its brick index once, so answering a NACK is a range
-/// lookup plus a copy — no re-encode, no re-parse.
-#[derive(Debug)]
-pub struct RepairRing {
-    capacity: usize,
-    /// Optional cap on total parked payload bytes (geometry plus
-    /// attribute). `None` — the default — bounds the ring in frames
-    /// only, exactly the pre-budget behavior.
-    byte_budget: Option<usize>,
-    /// Total payload bytes currently parked.
-    bytes: usize,
-    /// Frames evicted before aging out naturally — by the frame cap or
-    /// the byte budget.
-    evictions: u64,
-    frames: VecDeque<ParkedFrame>,
+impl ParkedFrame {
+    /// The `geometry ++ attribute` bytes of brick `cell`, if indexed.
+    fn brick(&self, cell: u64) -> Option<Vec<u8>> {
+        let entry = self.index.entries().iter().find(|e| e.cell == cell)?;
+        let (geometry, attribute) = container::intra_payloads(&self.frame.payload)?;
+        let geom = geometry.get(entry.geom.clone())?;
+        let attr = attribute.get(entry.attr.clone())?;
+        Some([geom, attr].concat())
+    }
 }
 
-impl RepairRing {
-    /// Creates a ring that keeps the last `capacity` parked frames
+/// A clonable, thread-safe, bounded ring of recent brick-partitioned
+/// I-frames the sender can answer [`RecoveryRequest::BrickRepair`] NACKs
+/// from.
+///
+/// The sender half ([`FrameSource::with_repair`](crate::FrameSource::with_repair))
+/// parks frames through one clone
+/// while every receiver NACKs through its own — the same sharing shape
+/// as [`SharedRing`](crate::SharedRing) for ARQ. Capacity is counted in
+/// frames; one or two is enough for the per-GOF repair window (P-frames
+/// reference only their group's I-frame, so a brick NACK always targets
+/// the current or previous anchor). Parking a frame takes a reference to
+/// its record and parses its brick index once, so answering a NACK is a
+/// range lookup plus a copy of one brick — no re-encode, no re-parse.
+#[derive(Debug, Clone)]
+pub struct SharedRepairRing(Window<ParkedFrame>);
+
+impl SharedRepairRing {
+    /// Creates a shared ring keeping the last `capacity` brick I-frames
     /// (minimum 1).
     pub fn new(capacity: usize) -> Self {
-        RepairRing {
-            capacity: capacity.max(1),
-            byte_budget: None,
-            bytes: 0,
-            evictions: 0,
-            frames: VecDeque::new(),
-        }
-    }
-
-    /// Caps the ring's memory footprint: whenever parked payload bytes
-    /// exceed `bytes`, the oldest frames are evicted until the ring fits
-    /// again. The newest frame is always retained even if it alone
-    /// exceeds the budget — a ring that cannot answer any NACK for the
-    /// frame it just parked would be useless. Large brick I-frames make
-    /// a frames-only bound unbounded in bytes; this keeps it honest.
-    pub fn with_byte_budget(mut self, bytes: usize) -> Self {
-        self.set_byte_budget(bytes);
-        self
-    }
-
-    /// In-place form of [`with_byte_budget`](Self::with_byte_budget).
-    /// Shrinking the budget below the current footprint evicts oldest
-    /// frames immediately (the newest always survives).
-    pub fn set_byte_budget(&mut self, bytes: usize) {
-        self.byte_budget = Some(bytes);
-        while self.bytes > bytes && self.frames.len() > 1 {
-            self.evict_oldest();
-        }
+        SharedRepairRing(Window::new(capacity))
     }
 
     /// Parks an encoded frame if it is a brick-partitioned intra frame;
     /// anything else (monolithic intra, P-frames, baselines) is ignored.
-    /// The oldest parked frame is evicted once the ring is full or the
-    /// byte budget is exceeded.
-    pub fn park(&mut self, frame_index: u32, frame: &EncodedFrame) {
-        let EncodedFrame::Intra(f) = frame else { return };
-        if !BrickIndex::detect(&f.geometry) {
+    /// The oldest parked frame is evicted once the ring is full.
+    pub fn park(&self, frame: &FramePayload) {
+        let Some((geometry, _)) = container::intra_payloads(&frame.payload) else { return };
+        if !BrickIndex::detect(geometry) {
             return;
         }
         // The sender parses its own just-encoded bytes: default limits
         // are exactly the regime those bytes were produced under.
-        let Ok(index) = BrickIndex::parse(&f.geometry, &Limits::default()) else { return };
-        if self.frames.len() == self.capacity {
-            self.evict_oldest();
-        }
-        self.bytes += f.geometry.len() + f.attribute.len();
-        self.frames.push_back(ParkedFrame {
-            frame_index,
-            geometry: f.geometry.clone(),
-            attribute: f.attribute.clone(),
-            index,
-        });
-        if let Some(budget) = self.byte_budget {
-            // Evict-oldest until under budget, always keeping the frame
-            // just parked.
-            while self.bytes > budget && self.frames.len() > 1 {
-                self.evict_oldest();
-            }
-        }
-    }
-
-    fn evict_oldest(&mut self) {
-        if let Some(parked) = self.frames.pop_front() {
-            self.bytes -= parked.geometry.len() + parked.attribute.len();
-            self.evictions += 1;
-        }
+        let Ok(index) = BrickIndex::parse(geometry, &Limits::default()) else { return };
+        self.0.push(ParkedFrame { frame: frame.clone(), index });
     }
 
     /// Number of frames currently parked.
     pub fn len(&self) -> usize {
-        self.frames.len()
+        self.0.len()
     }
 
     /// Whether the ring holds no frames.
     pub fn is_empty(&self) -> bool {
-        self.frames.is_empty()
-    }
-
-    /// Frame capacity of the ring.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Total payload bytes currently parked.
-    pub fn bytes(&self) -> usize {
-        self.bytes
-    }
-
-    /// Frames evicted early — displaced by the frame cap or the byte
-    /// budget rather than aging out of the repair window naturally.
-    pub fn evictions(&self) -> u64 {
-        self.evictions
+        self.len() == 0
     }
 }
 
-impl RepairSource for RepairRing {
+impl RepairSource for SharedRepairRing {
     fn repair(&mut self, request: &RecoveryRequest) -> Option<Vec<u8>> {
         let RecoveryRequest::BrickRepair { frame_index, cell } = request else {
             return None;
         };
         // Newest first: a re-anchored session can park a refresh I-frame
         // with the same index as a still-parked predecessor.
-        let parked = self.frames.iter().rev().find(|p| p.frame_index == *frame_index)?;
-        let entry = parked.index.entries().iter().find(|e| e.cell == *cell)?;
-        let geom = parked.geometry.get(entry.geom.clone())?;
-        let attr = parked.attribute.get(entry.attr.clone())?;
-        let mut out = Vec::with_capacity(geom.len() + attr.len());
-        out.extend_from_slice(geom);
-        out.extend_from_slice(attr);
-        Some(out)
-    }
-}
-
-/// A clonable, thread-safe handle to one [`RepairRing`].
-///
-/// The sender half ([`FrameSource::with_repair`]
-/// (`crate::FrameSource::with_repair`)) parks frames through one clone
-/// while every receiver NACKs through its own — the same sharing shape
-/// as [`SharedRing`](crate::SharedRing) for ARQ.
-#[derive(Debug, Clone)]
-pub struct SharedRepairRing(Arc<Mutex<RepairRing>>);
-
-impl SharedRepairRing {
-    /// Creates a shared ring keeping the last `capacity` brick I-frames.
-    pub fn new(capacity: usize) -> Self {
-        SharedRepairRing(Arc::new(Mutex::new(RepairRing::new(capacity))))
-    }
-
-    /// Caps parked payload bytes (see [`RepairRing::with_byte_budget`]).
-    pub fn with_byte_budget(self, bytes: usize) -> Self {
-        self.lock().set_byte_budget(bytes);
-        self
-    }
-
-    /// Total payload bytes currently parked.
-    pub fn bytes(&self) -> usize {
-        self.lock().bytes()
-    }
-
-    /// Frames evicted early by the frame cap or the byte budget.
-    pub fn evictions(&self) -> u64 {
-        self.lock().evictions()
-    }
-
-    /// Parks a brick-partitioned intra frame (see [`RepairRing::park`]).
-    pub fn park(&self, frame_index: u32, frame: &EncodedFrame) {
-        self.lock().park(frame_index, frame);
-    }
-
-    /// Number of frames currently parked.
-    pub fn len(&self) -> usize {
-        self.lock().len()
-    }
-
-    /// Whether the ring holds no frames.
-    pub fn is_empty(&self) -> bool {
-        self.lock().is_empty()
-    }
-
-    fn lock(&self) -> MutexGuard<'_, RepairRing> {
-        // A poisoned ring only means a peer panicked mid-insert; parked
-        // payloads are immutable once pushed, so reads stay safe.
-        self.0.lock().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-impl RepairSource for SharedRepairRing {
-    fn repair(&mut self, request: &RecoveryRequest) -> Option<Vec<u8>> {
-        self.lock().repair(request)
+        self.0
+            .find_map(|p| (p.frame.frame_index == *frame_index).then(|| p.brick(*cell)))
+            .flatten()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pcc_core::{Design, PccCodec};
+    use pcc_core::{Design, EncodedFrame, PccCodec};
     use pcc_datasets::catalog;
     use pcc_edge::{Device, PowerMode};
     use pcc_inter::InterConfig;
@@ -293,6 +167,13 @@ mod tests {
         frame
     }
 
+    /// The shared wire record a source would park for `frame`.
+    fn record(frame_index: u32, frame: &EncodedFrame) -> FramePayload {
+        let mut bytes = Vec::new();
+        container::mux_frame(&mut bytes, frame);
+        FramePayload::from_bytes(frame_index, frame.kind(), bytes)
+    }
+
     #[test]
     fn ring_answers_nacks_with_crc_exact_payloads() {
         let frame = brick_frame();
@@ -300,8 +181,8 @@ mod tests {
         let index = BrickIndex::parse(&f.geometry, &Limits::default()).unwrap();
         assert!(!index.entries().is_empty());
 
-        let mut ring = RepairRing::new(2);
-        ring.park(4, &frame);
+        let mut ring = SharedRepairRing::new(2);
+        ring.park(&record(4, &frame));
         for entry in index.entries() {
             let bytes = ring
                 .repair(&RecoveryRequest::BrickRepair { frame_index: 4, cell: entry.cell })
@@ -314,8 +195,8 @@ mod tests {
     #[test]
     fn ring_misses_unknown_frames_cells_and_aged_out_entries() {
         let frame = brick_frame();
-        let mut ring = RepairRing::new(1);
-        ring.park(0, &frame);
+        let mut ring = SharedRepairRing::new(1);
+        ring.park(&record(0, &frame));
         assert!(ring
             .repair(&RecoveryRequest::BrickRepair { frame_index: 9, cell: 0 })
             .is_none());
@@ -324,68 +205,11 @@ mod tests {
             .is_none());
         assert!(ring.repair(&RecoveryRequest::IntraRefresh { at_frame: 0 }).is_none());
         // Capacity 1: parking a second frame evicts the first.
-        ring.park(3, &frame);
+        ring.park(&record(3, &frame));
         assert_eq!(ring.len(), 1);
         assert!(ring
             .repair(&RecoveryRequest::BrickRepair { frame_index: 0, cell: 0 })
             .is_none());
-    }
-
-    #[test]
-    fn byte_budget_evicts_oldest_until_under_budget() {
-        let frame = brick_frame();
-        let EncodedFrame::Intra(f) = &frame else { panic!("expected intra") };
-        let per_frame = f.geometry.len() + f.attribute.len();
-
-        // Default: no byte budget, frames-only bound — byte-identical to
-        // the pre-budget ring.
-        let mut unbudgeted = RepairRing::new(4);
-        for i in 0..3 {
-            unbudgeted.park(i, &frame);
-        }
-        assert_eq!(unbudgeted.len(), 3);
-        assert_eq!(unbudgeted.bytes(), 3 * per_frame);
-        assert_eq!(unbudgeted.evictions(), 0);
-
-        // A budget that fits two frames but not three: the third park
-        // evicts the oldest, and the counter records it.
-        let mut ring = RepairRing::new(8).with_byte_budget(2 * per_frame);
-        ring.park(0, &frame);
-        ring.park(1, &frame);
-        assert_eq!(ring.len(), 2);
-        assert_eq!(ring.evictions(), 0);
-        ring.park(2, &frame);
-        assert_eq!(ring.len(), 2, "third frame must displace the oldest");
-        assert_eq!(ring.bytes(), 2 * per_frame);
-        assert_eq!(ring.evictions(), 1);
-        assert!(
-            ring.repair(&RecoveryRequest::BrickRepair { frame_index: 0, cell: 0 }).is_none(),
-            "evicted frame is gone"
-        );
-        let index = BrickIndex::parse(&f.geometry, &Limits::default()).unwrap();
-        let cell = index.entries().first().unwrap().cell;
-        assert!(
-            ring.repair(&RecoveryRequest::BrickRepair { frame_index: 2, cell }).is_some(),
-            "newest frame must stay servable"
-        );
-
-        // A budget smaller than a single frame still keeps the newest
-        // frame (an empty ring answers nothing).
-        let mut tiny = RepairRing::new(2).with_byte_budget(per_frame / 2);
-        tiny.park(7, &frame);
-        assert_eq!(tiny.len(), 1, "the just-parked frame always survives");
-        tiny.park(8, &frame);
-        assert_eq!(tiny.len(), 1);
-        assert_eq!(tiny.evictions(), 1);
-
-        // The shared wrapper mirrors the budget and the counters.
-        let shared = SharedRepairRing::new(8).with_byte_budget(2 * per_frame);
-        for i in 0..3 {
-            shared.park(i, &frame);
-        }
-        assert_eq!(shared.len(), 2);
-        assert_eq!(shared.bytes(), 2 * per_frame);
-        assert_eq!(shared.evictions(), 1);
     }
 
     #[test]
@@ -395,8 +219,8 @@ mod tests {
         let codec = PccCodec::new(Design::IntraInterV1);
         let mut enc = codec.frame_encoder(7, &device);
         let (frame, _) = enc.encode_frame(&video.frame(0).unwrap().cloud);
-        let mut ring = RepairRing::new(4);
-        ring.park(0, &frame);
+        let ring = SharedRepairRing::new(4);
+        ring.park(&record(0, &frame));
         assert!(ring.is_empty(), "monolithic intra frames carry no brick index");
     }
 }

@@ -15,6 +15,12 @@
 //!   reused), so fan-out cost does not scale with frame size per
 //!   subscriber beyond the unavoidable byte copy onto each wire.
 //!
+//! The payload is refcounted and immutable, and every retention site
+//! holds a reference to it, never a copy: a subscriber's ARQ ring
+//! ([`SharedRing`]), the brick repair ring ([`SharedRepairRing`]) and a
+//! broadcast's resync cache. Retained bytes are therefore flat in
+//! subscriber count.
+//!
 //! `Sender` is rebuilt as exactly one `FrameSource` plus one
 //! `Subscription`, so every existing session test and golden PCS1
 //! digest pins this refactor. The `pcc-serve` crate composes one source
@@ -23,28 +29,32 @@
 use crate::arq::SharedRing;
 use crate::chunk::{encode_chunk, encode_chunk_parts, Chunk, ChunkKind, ChunkWriter};
 use crate::crc::crc32;
-use crate::recovery::SharedRepairRing;
+use crate::recovery::{RecoveryRequest, SharedRepairRing};
 use crate::session::{end_chunk, header_chunk, StreamConfig};
-use crate::stats::StreamStats;
-use pcc_core::{container, Design, FrameEncoder, PccCodec};
-use pcc_edge::Device;
+use crate::stats::{SharedStats, StreamStats};
+use pcc_core::{container, Design, EncodedFrame, FrameEncoder, PccCodec};
+use pcc_edge::{Device, Timeline};
+use pcc_probe::Span;
 use pcc_types::{Aabb, FrameKind, GofPattern, PointCloud};
 use std::io::{self, Write};
+use std::sync::Arc;
 
 /// One coded frame ready to be stamped into any subscriber's stream.
 ///
 /// The payload is the muxed wire record of
 /// [`pcc_core::container::mux_frame`] — byte-identical to what the 1:1
 /// [`Sender`](crate::Sender) puts in a frame chunk — and the CRC is
-/// `crc32(payload)`, computed once so N subscribers share it.
+/// `crc32(payload)`, computed once so N subscribers share it. The record
+/// is shared and immutable: cloning a `FramePayload` clones a reference,
+/// so every ring and cache that retains the frame holds the same bytes.
 #[derive(Debug, Clone)]
 pub struct FramePayload {
     /// Display index of the frame within the video.
     pub frame_index: u32,
     /// How the frame was coded.
     pub kind: FrameKind,
-    /// The muxed frame record (chunk payload bytes).
-    pub payload: Vec<u8>,
+    /// The muxed frame record (chunk payload bytes), shared by reference.
+    pub payload: Arc<Vec<u8>>,
     /// CRC32 of `payload`, precomputed for [`Subscription::send_payload`].
     pub payload_crc: u32,
     /// Measured encode wall-clock (0 when probes are off).
@@ -69,7 +79,7 @@ impl FramePayload {
         FramePayload {
             frame_index,
             kind,
-            payload,
+            payload: Arc::new(payload),
             payload_crc,
             encode_ns: 0,
             over_budget: false,
@@ -138,6 +148,18 @@ impl<'d> FrameSource<'d> {
     /// Whether an intra refresh is staged for the next frame.
     pub fn refresh_pending(&self) -> bool {
         self.refresh_pending
+    }
+
+    /// Drains the recovery asks a receiver published on `feedback` and
+    /// stages a refresh (see [`request_refresh`](Self::request_refresh))
+    /// if any of them was an [`RecoveryRequest::IntraRefresh`]. Senders
+    /// call this before each encode so the ask lands at the next slot.
+    pub fn drain_refresh_asks(&mut self, feedback: &SharedStats) {
+        for request in feedback.take_recovery() {
+            if matches!(request, RecoveryRequest::IntraRefresh { .. }) {
+                self.request_refresh();
+            }
+        }
     }
 
     /// Voxelizes every frame in a common bounding box (see
@@ -214,31 +236,11 @@ impl<'d> FrameSource<'d> {
     /// Encodes the next frame once, yielding a payload any number of
     /// subscriptions can transmit.
     pub fn encode_next(&mut self, cloud: &PointCloud) -> FramePayload {
-        let frame_index = self.encoder.frame_index() as u32;
-        // A staged refresh re-anchors at this slot; when the slot is a
-        // scheduled I-frame anyway, the ask is satisfied for free and
-        // the frame is not booked as refresh cost.
-        let refresh = self.refresh_pending && self.encoder.next_kind() == FrameKind::Predicted;
-        if refresh {
-            self.encoder.force_intra_next();
-        }
+        let (frame_index, refresh) = self.stage_refresh();
         self.refresh_pending = false;
         let encode_sp = pcc_probe::span("stream/encode");
         let (encoded, timeline) = self.encoder.encode_frame(cloud);
-        let kind = encoded.kind();
-        if kind == FrameKind::Intra {
-            if let Some(ring) = &self.repair {
-                ring.park(frame_index, &encoded);
-            }
-        }
-        let mut payload = Vec::new();
-        container::mux_frame(&mut payload, &encoded);
-        let payload_crc = crc32(&payload);
-        let encode_ns = encode_sp.stop();
-        let modeled_ms = timeline.total_modeled_ms().as_f64();
-        let over_budget = self.frame_budget_ms.is_some_and(|b| modeled_ms > b);
-        self.frames_encoded += 1;
-        FramePayload { frame_index, kind, payload, payload_crc, encode_ns, over_budget, refresh }
+        self.finish_encode(frame_index, refresh, &encoded, &timeline, encode_sp)
     }
 
     /// [`encode_next`](Self::encode_next) behind a supervision boundary:
@@ -253,11 +255,7 @@ impl<'d> FrameSource<'d> {
         cloud: &PointCloud,
         fault: impl FnOnce(),
     ) -> Option<FramePayload> {
-        let frame_index = self.encoder.frame_index() as u32;
-        let refresh = self.refresh_pending && self.encoder.next_kind() == FrameKind::Predicted;
-        if refresh {
-            self.encoder.force_intra_next();
-        }
+        let (frame_index, refresh) = self.stage_refresh();
         let encode_sp = pcc_probe::span("stream/encode");
         let encoder = &mut self.encoder;
         let contained = pcc_parallel::contain(move || {
@@ -272,20 +270,45 @@ impl<'d> FrameSource<'d> {
             return None;
         };
         self.refresh_pending = false;
-        let kind = encoded.kind();
-        if kind == FrameKind::Intra {
+        Some(self.finish_encode(frame_index, refresh, &encoded, &timeline, encode_sp))
+    }
+
+    /// The next slot's index, and whether a staged refresh re-anchors
+    /// it. When the slot is a scheduled I-frame anyway, the ask is
+    /// satisfied for free and the frame is not booked as refresh cost.
+    fn stage_refresh(&mut self) -> (u32, bool) {
+        let refresh = self.refresh_pending && self.encoder.next_kind() == FrameKind::Predicted;
+        if refresh {
+            self.encoder.force_intra_next();
+        }
+        (self.encoder.frame_index() as u32, refresh)
+    }
+
+    /// The post-encode step shared by both encode paths: mux the frame
+    /// into its shared record, CRC it once, park brick I-frames in the
+    /// repair ring, and judge the modeled latency against the budget.
+    fn finish_encode(
+        &mut self,
+        frame_index: u32,
+        refresh: bool,
+        encoded: &EncodedFrame,
+        timeline: &Timeline,
+        encode_sp: Span,
+    ) -> FramePayload {
+        let mut payload = Vec::new();
+        container::mux_frame(&mut payload, encoded);
+        let mut frame = FramePayload::from_bytes(frame_index, encoded.kind(), payload);
+        frame.refresh = refresh;
+        if frame.kind == FrameKind::Intra {
             if let Some(ring) = &self.repair {
-                ring.park(frame_index, &encoded);
+                ring.park(&frame);
             }
         }
-        let mut payload = Vec::new();
-        container::mux_frame(&mut payload, &encoded);
-        let payload_crc = crc32(&payload);
-        let encode_ns = encode_sp.stop();
         let modeled_ms = timeline.total_modeled_ms().as_f64();
-        let over_budget = self.frame_budget_ms.is_some_and(|b| modeled_ms > b);
+        frame.over_budget = self.frame_budget_ms.is_some_and(|b| modeled_ms > b);
         self.frames_encoded += 1;
-        Some(FramePayload { frame_index, kind, payload, payload_crc, encode_ns, over_budget, refresh })
+        frame.encode_ns = encode_sp.stop();
+        frame
     }
 }
 
@@ -354,7 +377,7 @@ impl<W: Write> Subscription<W> {
     /// header) in `ring` so an ARQ receiver holding a clone can NACK
     /// gaps against it. See [`crate::arq`].
     pub fn with_arq(mut self, ring: SharedRing) -> Self {
-        ring.insert(0, self.header_bytes.clone());
+        ring.park_control(0, self.header_bytes.clone());
         self.arq_ring = Some(ring);
         self
     }
@@ -372,8 +395,9 @@ impl<W: Write> Subscription<W> {
 
     /// Stamps one frame payload into this subscriber's stream: encodes
     /// the chunk under the local sequence number (reusing the payload
-    /// CRC), parks it in the ARQ ring, writes it, and flushes at
-    /// I-frames so resync points hit the wire immediately.
+    /// CRC), parks a reference to the payload in the ARQ ring, writes
+    /// the chunk in one transport write, and flushes at I-frames so
+    /// resync points hit the wire immediately.
     ///
     /// # Errors
     ///
@@ -390,7 +414,7 @@ impl<W: Write> Subscription<W> {
             frame.payload_crc,
         );
         if let Some(ring) = &self.arq_ring {
-            ring.insert(self.seq, bytes.clone());
+            ring.park_frame(self.stream_id, self.seq, frame);
         }
         self.writer.write_encoded(&bytes)?;
         self.seq += 1;
@@ -439,7 +463,7 @@ impl<W: Write> Subscription<W> {
     pub fn finish(mut self, total_frames: u32) -> io::Result<(W, StreamStats)> {
         let bytes = encode_chunk(&end_chunk(self.stream_id, self.seq, total_frames));
         if let Some(ring) = &self.arq_ring {
-            ring.insert(self.seq, bytes.clone());
+            ring.park_control(self.seq, bytes.clone());
         }
         self.writer.write_encoded(&bytes)?;
         self.writer.flush()?;

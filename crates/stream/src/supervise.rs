@@ -32,8 +32,8 @@
 //! stats-identical to plain [`stream_video`](crate::stream_video) —
 //! which is, in fact, implemented as exactly that call.
 
-use crate::chunk::{Chunk, ChunkKind, ChunkWriter};
-use crate::session::{end_chunk, header_chunk, StreamConfig};
+use crate::session::{header_chunk, StreamConfig};
+use crate::source::{FramePayload, Subscription};
 use crate::stats::{SharedStats, StreamStats};
 use pcc_adapt::{Clock, Controller, FrameObservation, SystemClock};
 use pcc_core::{container, PccCodec};
@@ -189,11 +189,8 @@ pub fn stream_video_supervised<W: Write>(
         let fps = f64::from(video.fps());
         (fps > 0.0).then_some(1000.0 / fps)
     });
-    let (tx, rx) = queue::bounded::<(u32, FrameKind, Vec<u8>)>(config.queue_depth.max(1));
-
-    let mut writer = ChunkWriter::new(writer);
-    let mut stats = StreamStats::default();
-    let stream_id = config.stream_id;
+    let (tx, rx) = queue::bounded::<FramePayload>(config.queue_depth.max(1));
+    let header = header_chunk(config.stream_id, codec.design(), depth);
 
     let Supervisor { controller, clock, load_profile, encode_fault, feedback, abandon_factor } =
         &mut *supervisor;
@@ -201,14 +198,13 @@ pub fn stream_video_supervised<W: Write>(
     let abandon_factor = *abandon_factor;
     let feedback = feedback.clone();
 
-    let io_result: io::Result<()> = std::thread::scope(|s| {
+    std::thread::scope(|s| {
         let encode = s.spawn(move || {
             let mut encoder = codec.frame_encoder(depth, device);
             if let Some(bb) = video.bounding_box() {
                 encoder = encoder.with_bounding_box(bb);
             }
             let gof = encoder.gof_pattern();
-            let mut sent = 0usize;
             let mut over_budget = 0usize;
             let mut encode_ns = 0u64;
             let mut degraded = 0usize;
@@ -294,65 +290,41 @@ pub fn stream_video_supervised<W: Write>(
                 }
                 let mut payload = Vec::new();
                 container::mux_frame(&mut payload, &encoded);
-                if tx.send((idx as u32, kind, payload)).is_err() {
+                if tx.send(FramePayload::from_bytes(idx as u32, kind, payload)).is_err() {
                     // The transmit side died; encoding on would be wasted work.
                     break;
                 }
-                sent += 1;
             }
             let rung_changes = controller.as_ref().map_or(0, |c| c.rung_changes());
             // thread::scope unblocks when this closure returns, before the
             // thread-local buffers' Drop flush — publish spans now so a
             // take_report() right after the session sees them.
             pcc_probe::flush_thread();
-            (sent, over_budget, encode_ns, degraded, watchdog_skips, panics_contained, rung_changes)
+            (over_budget, encode_ns, degraded, watchdog_skips, panics_contained, rung_changes)
         });
 
-        let mut send_ns = 0u64;
-        let mut transmit = |send_ns: &mut u64| -> io::Result<()> {
-            writer.write_chunk(&header_chunk(stream_id, codec.design(), depth))?;
-            writer.flush()?;
-            let mut seq = 1u32;
-            while let Some((frame_index, kind, payload)) = rx.recv() {
-                let sp = pcc_probe::span("stream/send");
-                writer.write_chunk(&Chunk {
-                    kind: ChunkKind::Frame,
-                    frame_kind: Some(kind),
-                    stream_id,
-                    seq,
-                    frame_index,
-                    payload,
-                })?;
-                seq += 1;
-                if kind == FrameKind::Intra {
-                    writer.flush()?;
-                }
-                *send_ns += sp.stop();
+        // The transmit half is one subscription: the same header, frame
+        // and end chunks (and byte and chunk accounting) as a Sender.
+        let transmit = || -> io::Result<(W, StreamStats)> {
+            let mut sub = Subscription::attach(writer, &header)?;
+            while let Some(frame) = rx.recv() {
+                sub.send_payload(&frame)?;
             }
-            writer.write_chunk(&end_chunk(stream_id, seq, video.len() as u32))?;
-            writer.flush()?;
-            Ok(())
+            sub.finish(video.len() as u32)
         };
-        let result = transmit(&mut send_ns);
+        let result = transmit();
         // On a transport error the receiver half of the queue is dropped
         // here, which makes the encoder's next send fail and stop early.
         drop(rx);
-        let (sent, over_budget, encode_ns, degraded, watchdog_skips, panics_contained, rung_changes) =
+        let (over_budget, encode_ns, degraded, watchdog_skips, panics_contained, rung_changes) =
             encode.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
-        stats.frames_sent = sent;
+        let (writer, mut stats) = result?;
         stats.frames_over_budget = over_budget;
         stats.frames_degraded = degraded;
         stats.watchdog_skips = watchdog_skips;
         stats.panics_contained = panics_contained;
         stats.rung_changes = rung_changes;
         stats.add_stage_ns("stream/encode", encode_ns);
-        stats.add_stage_ns("stream/send", send_ns);
-        result
-    });
-
-    stats.chunks_sent = writer.chunks_written() as usize;
-    stats.bytes_sent = writer.bytes_written();
-    io_result?;
-    stats.clean_shutdown = true;
-    Ok((writer.into_inner(), stats))
+        Ok((writer, stats))
+    })
 }

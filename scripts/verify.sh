@@ -30,6 +30,12 @@ cargo check -q --offline -p pcc --no-default-features
 echo "== bench targets compile =="
 cargo check -q --offline -p pcc-bench --benches
 
+echo "== livebench: benchmark harness builds and passes its helper tests =="
+# The live-stream benchmark (BENCHMARK.json) is its own workspace and
+# builds the crates by path; a crate API change that breaks it must fail
+# here rather than first in a benchmark run.
+cargo test --release --offline --manifest-path livebench/Cargo.toml
+
 echo "== simd feature matrix =="
 # The AVX2 Morton lane path must keep compiling with the feature on and
 # off (it is runtime-detected, so one binary serves both hosts), and its
