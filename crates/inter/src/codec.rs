@@ -1,7 +1,9 @@
 //! The inter-frame (P-frame) codec facade.
 
 use crate::config::InterConfig;
-use crate::matching::{self, match_blocks_into, BlockMatch, MatchOutcome, ReuseStats};
+use crate::matching::{
+    self, match_blocks_in, predict_into, BlockMatch, MatchOutcome, MatchScratch, ReuseStats,
+};
 use pcc_edge::{calib, Device};
 use pcc_entropy::varint;
 use pcc_intra::{
@@ -14,9 +16,11 @@ use std::num::NonZeroUsize;
 
 /// Per-session scratch for the inter encoder — a superset of the intra
 /// arena: geometry buffers plus the gather accumulators, block-match
-/// table, and delta-layer buffers. Owned by session-long encoders (the
-/// `FrameEncoder` in `pcc-core`) so the per-frame steady state is
-/// allocation-free on the single-threaded path.
+/// table, the matcher's padded byte blocks, the predicted colors of a
+/// delta block, and delta-layer buffers.
+/// Owned by session-long encoders (the `FrameEncoder` in `pcc-core`) so
+/// the per-frame steady state is allocation-free on the single-threaded
+/// path.
 #[derive(Debug, Default)]
 pub struct InterArena {
     geom: GeometryScratch,
@@ -27,6 +31,8 @@ pub struct InterArena {
     p_starts: Vec<u32>,
     i_starts: Vec<u32>,
     matches: Vec<BlockMatch>,
+    match_scratch: MatchScratch,
+    predicted: Vec<Rgb>,
     delta_values: Vec<[i32; 3]>,
     delta_starts: Vec<u32>,
     bases: Vec<[i32; 3]>,
@@ -212,6 +218,8 @@ impl InterCodec {
             p_starts,
             i_starts,
             matches,
+            match_scratch,
+            predicted,
             delta_values,
             delta_starts,
             bases,
@@ -227,7 +235,7 @@ impl InterCodec {
 
         // Block matching (the Diff_Squared / Squared_Sum kernels).
         let match_sp = pcc_probe::span("inter/match");
-        let (stats, charge) = match_blocks_into(
+        let (stats, charge) = match_blocks_in(
             p_colors,
             reference,
             p_starts,
@@ -235,6 +243,7 @@ impl InterCodec {
             self.config.candidates,
             self.config.reuse_threshold,
             threads,
+            match_scratch,
             matches,
         );
         device.charge_gpu("inter_attr/diff_squared", &calib::DIFF_SQUARED, charge.pair_items.max(1));
@@ -248,14 +257,13 @@ impl InterCodec {
         delta_starts.push(0);
         for (p_idx, mt) in matches.iter().enumerate() {
             if mt.outcome == MatchOutcome::Delta {
-                let p_range = block_range(p_starts, p_colors.len(), p_idx);
+                let p_block = &p_colors[block_range(p_starts, p_colors.len(), p_idx)];
                 let i_range = block_range(i_starts, reference.len(), mt.i_block as usize);
-                let i_block = &reference[i_range];
-                let len_p = p_range.len();
-                for (k, &pc) in p_colors[p_range].iter().enumerate() {
-                    let base = predicted(i_block, k, len_p);
-                    delta_values.push(pc.delta(base));
-                }
+                predicted.clear();
+                predicted.resize(p_block.len(), Rgb::BLACK);
+                predict_into(predicted, &reference[i_range]);
+                let deltas = p_block.iter().zip(predicted.iter()).map(|(&pc, &b)| pc.delta(b));
+                delta_values.extend(deltas);
                 delta_starts.push(delta_values.len() as u32);
             }
         }
@@ -365,20 +373,17 @@ impl InterCodec {
             let i_block_idx = (w_start + window_offset).min(w_end.saturating_sub(1));
             let i_range = block_range(&i_starts, reference.len(), i_block_idx);
             let i_block = reference.get(i_range).unwrap_or(&[]);
-            let p_range = block_range(&p_starts, m, p_idx);
-            let len_p = p_range.len();
-            for (k, slot) in p_range.clone().enumerate() {
-                let base = predicted(i_block, k, len_p);
-                colors[slot] = if reused {
-                    base
-                } else {
-                    let d = deltas.get(delta_pos).copied().ok_or(InterError::Corrupt(
-                        "delta stream shorter than delta blocks",
-                    ))?;
-                    delta_pos += 1;
-                    let b = base.to_i32();
-                    Rgb::from_i32_clamped([b[0] + d[0], b[1] + d[1], b[2] + d[2]])
-                };
+            let slots = &mut colors[block_range(&p_starts, m, p_idx)];
+            predict_into(slots, i_block);
+            if !reused {
+                let block_deltas = deltas
+                    .get(delta_pos..delta_pos + slots.len())
+                    .ok_or(InterError::Corrupt("delta stream shorter than delta blocks"))?;
+                delta_pos += slots.len();
+                for (slot, d) in slots.iter_mut().zip(block_deltas) {
+                    let b = slot.to_i32();
+                    *slot = Rgb::from_i32_clamped([b[0] + d[0], b[1] + d[1], b[2] + d[2]]);
+                }
             }
         }
         device.charge_gpu("inter_attr_decode", &calib::ATTR_DECODE, m.max(1));
@@ -399,19 +404,6 @@ fn block_range(starts: &[u32], len: usize, idx: usize) -> std::ops::Range<usize>
     let start = starts.get(idx).map_or(len, |&s| s as usize);
     let end = starts.get(idx + 1).map_or(len, |&e| e as usize);
     start..end
-}
-
-/// The reference color predicted for P-point `k` of a `len_p`-point block
-/// matched to `i_block` (proportional index mapping, identical to the
-/// matcher's; black when the reference block is empty).
-// `map_index` clamps to `i_block.len() - 1` and emptiness is checked.
-#[allow(clippy::indexing_slicing)]
-fn predicted(i_block: &[Rgb], k: usize, len_p: usize) -> Rgb {
-    if i_block.is_empty() {
-        Rgb::BLACK
-    } else {
-        i_block[matching::map_index(k, len_p, i_block.len())]
-    }
 }
 
 #[cfg(test)]

@@ -14,6 +14,12 @@ cargo build --release --offline
 echo "== tier-1: test suite (default threads) =="
 cargo test -q --offline
 
+echo "== workspace tests: every crate's own unit, property and doc tests =="
+# `cargo test` at the root runs only the root package's tests; the
+# crates' own suites (the matcher's oracle proptests, pcc-parallel's
+# scatter primitives, the codec unit tests, ...) gate here.
+cargo test -q --workspace --release --offline
+
 echo "== single-thread pass (PCC_THREADS=1) =="
 PCC_THREADS=1 cargo test -q --offline
 
